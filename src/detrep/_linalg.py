@@ -92,16 +92,6 @@ def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def rank(matrix) -> int:
-    return len(rref(matrix)[1])
-
-
-def in_row_span(matrix, vector) -> bool:
-    """Whether ``vector`` lies in the row span of ``matrix`` (exact)."""
-    base = rank(matrix)
-    return rank(list(matrix) + [list(vector)]) == base
-
-
 def invert(matrix) -> list[list[Fraction]]:
     """Exact inverse of a square rational matrix."""
     n = len(matrix)

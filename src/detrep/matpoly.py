@@ -317,24 +317,6 @@ def _prod(values) -> int:
     return out
 
 
-def lift_agreement_probe(rep: UniformRep, P: MatrixPoly, points: int = 20, seed: int = 0) -> float:
-    """Max determinant deviation of an (unwarranted) lift at sample points.
-
-    A measurement hook, not an assertion: whether every minimal
-    representation lifts is open, so callers can collect evidence
-    without the library taking a stance.
-    """
-    rng = np.random.default_rng(seed)
-    res = lift(rep, P)
-    worst = 0.0
-    for _ in range(points):
-        pt = rng.uniform(-1.5, 1.5, rep.n)
-        d1 = np.linalg.det(evaluate_form_matrix(res.matrix, pt))
-        d2 = np.linalg.det(P.evaluate(pt))
-        worst = max(worst, abs(d1 - d2) / max(1.0, abs(d2)))
-    return worst
-
-
 # -- the skew padding counterexample -----------------------------------------
 
 

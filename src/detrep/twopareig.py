@@ -20,15 +20,23 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .biaffine import UniformRep, specialize
+from . import dense
+from .biaffine import UniformRep, sparse_cells
 from .construct import construct
+from .dense import DensePoly
 from .poly import COMPLEX, MultiPoly
-from .roots import RootSet, normalized_residual
+from .roots import RootSet
+
+# The numeric path calls neither the exact specialisation nor the scalar
+# residual, but both names stay bound here: the benchmark's layer tracer
+# (perfbench/tracer.py) patches them in this module.
+from .biaffine import specialize  # noqa: F401
+from .roots import normalized_residual  # noqa: F401
 
 #: solver refuses beyond this degree by default (Delta size (2d-1)^2)
 DEGREE_CAP = 20
@@ -71,27 +79,68 @@ class DeltaTriple:
     def shape(self):
         return self.d0.shape
 
+    @cached_property
+    def scale(self) -> float:
+        """Pencil scale: the largest spectral norm of the three matrices."""
+        return max(
+            float(np.linalg.norm(self.d0, 2)),
+            float(np.linalg.norm(self.d1, 2)),
+            float(np.linalg.norm(self.d2, 2)),
+            1e-300,
+        )
+
 
 @lru_cache(maxsize=64)
 def _cached_rep(d: int, method: str) -> UniformRep:
     return construct(2, d, method)
 
 
-def _coefficient_matrices(rep: UniformRep, p: MultiPoly):
-    mat = specialize(rep, p)
-    size = len(mat)
-    a0 = np.empty((size, size), dtype=complex)
-    a1 = np.empty((size, size), dtype=complex)
-    a2 = np.empty((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            f = mat[i][j]
-            a0[i, j] = complex(f.constant)
-            a1[i, j] = complex(f.linear[0])
-            a2[i, j] = complex(f.linear[1])
-    if max(np.abs(a.imag).max() for a in (a0, a1, a2)) == 0.0:
-        return a0.real.copy(), a1.real.copy(), a2.real.copy()
-    return a0, a1, a2
+@lru_cache(maxsize=64)
+def _cached_tensor(d: int, method: str):
+    """Float coefficient tensor of ``_cached_rep(d, method)``.
+
+    Returns (index, base, tensor): ``index`` maps a coefficient exponent
+    to its column, and the stacked matrices (A0, A1, A2) of the
+    specialisation at a coefficient vector c are ``base + tensor @ c``,
+    reshaped to ``base.shape`` = (3, size, size).  In the constructed
+    representations each of the three parts of an entry (constant, x and
+    y coefficient) takes at most one c_alpha, so each row of ``tensor``
+    has at most one nonzero and the product rounds exactly as the exact
+    :func:`specialize` converted to floats does.
+    """
+    rep = _cached_rep(d, method)
+    size = rep.size
+    index = {alpha: k for k, alpha in enumerate(rep.malpha)}
+    base = np.zeros((3, size, size))
+    tensor = np.zeros((3, size, size, len(index)))
+    for i, row in enumerate(rep.m0):
+        for j, f in enumerate(row):
+            base[:, i, j] = (f.constant, *f.linear)
+    for alpha, cells in sparse_cells(rep):
+        k = index[alpha]
+        for i, j, f in cells:
+            tensor[:, i, j, k] = (f.constant, *f.linear)
+    tensor = tensor.reshape(3 * size * size, len(index))
+    # shared by every caller through the cache
+    base.flags.writeable = tensor.flags.writeable = False
+    return index, base, tensor
+
+
+def _coefficient_matrices(p: MultiPoly, d: int, method: str):
+    """(A0, A1, A2) with det(A0 + x A1 + y A2) = p under ``_cached_rep(d, method)``."""
+    if p.degree() > d:
+        raise ValueError(f"degree overflow: polynomial degree {p.degree()} exceeds d={d}")
+    index, base, tensor = _cached_tensor(d, method)
+    c = np.zeros(len(index), dtype=complex)
+    for alpha, v in p.terms.items():
+        k = index.get(alpha)
+        if k is not None:
+            c[k] = v
+    mats = base + (tensor @ c.real).reshape(base.shape)
+    imag = (tensor @ c.imag).reshape(base.shape)
+    if imag.any():
+        mats = mats + 1j * imag
+    return tuple(mats)
 
 
 def to_two_param(p: MultiPoly, q: MultiPoly, method: str = "minunif", degrees=None) -> TwoParamProblem:
@@ -108,8 +157,8 @@ def to_two_param(p: MultiPoly, q: MultiPoly, method: str = "minunif", degrees=No
     qw = q if q.kind == COMPLEX else q.to_complex()
     if degrees is None:
         degrees = (max(int(pw.degree()), 0), max(int(qw.degree()), 0))
-    a0, a1, a2 = _coefficient_matrices(_cached_rep(degrees[0], method), pw)
-    b0, b1, b2 = _coefficient_matrices(_cached_rep(degrees[1], method), qw)
+    a0, a1, a2 = _coefficient_matrices(pw, degrees[0], method)
+    b0, b1, b2 = _coefficient_matrices(qw, degrees[1], method)
     return TwoParamProblem(a0, a1, a2, b0, b1, b2)
 
 
@@ -119,59 +168,6 @@ def build_deltas(tp: TwoParamProblem) -> DeltaTriple:
     d1 = np.kron(tp.a2, tp.b0) - np.kron(tp.a0, tp.b2)
     d2 = np.kron(tp.a0, tp.b1) - np.kron(tp.a1, tp.b0)
     return DeltaTriple(d0, d1, d2)
-
-
-def coefficient_matrices(rep: UniformRep, p: MultiPoly):
-    """A0, A1, ..., An with A0 + sum x_i A_i the pencil of p under ``rep``."""
-    mat = specialize(rep, p)
-    size = len(mat)
-    out = [np.empty((size, size), dtype=complex) for _ in range(rep.n + 1)]
-    for i in range(size):
-        for j in range(size):
-            f = mat[i][j]
-            out[0][i, j] = complex(f.constant)
-            for k, lin in enumerate(f.linear):
-                out[k + 1][i, j] = complex(lin)
-    if all(np.abs(m.imag).max() == 0.0 for m in out):
-        out = [m.real.copy() for m in out]
-    return out
-
-
-def three_param_deltas(triples):
-    """Experimental: operator determinants for three equations in (x, y, z).
-
-    ``triples`` holds, per equation, the matrices (X0, X1, X2, X3) of
-    X0 + x X1 + y X2 + z X3.  Returns (Delta0, Delta1, Delta2, Delta3)
-    with the eigenvalue relations (Delta_i - t_i Delta0) w = 0 for
-    t = (x, y, z) and w the triple Kronecker eigenvector.  No root-count
-    or reduction guarantees are made at this size (the pencils grow as
-    the product of the three representation sizes).
-    """
-    if len(triples) != 3 or any(len(t) != 4 for t in triples):
-        raise ValueError("need three equations with four coefficient matrices each")
-    # constant matrices enter negated: they sit on the right-hand side of
-    # the Cramer-style relations
-    negated = [(-t[0], t[1], t[2], t[3]) for t in triples]
-
-    def opdet(equations, columns):
-        total = None
-        for sigma, sign in (
-            ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-            ((2, 1, 0), -1), ((1, 0, 2), -1), ((0, 2, 1), -1),
-        ):
-            term = np.kron(
-                np.kron(equations[0][columns[sigma[0]]], equations[1][columns[sigma[1]]]),
-                equations[2][columns[sigma[2]]],
-            )
-            total = sign * term if total is None else total + sign * term
-        return total
-
-    deltas = [opdet(triples, (1, 2, 3))]
-    for i in range(3):
-        cols = [1, 2, 3]
-        cols[i] = 0
-        deltas.append(opdet(negated, tuple(cols)))
-    return tuple(deltas)
 
 
 # -- staircase reduction ------------------------------------------------------
@@ -210,12 +206,7 @@ def staircase(dt: DeltaTriple, tol: float | None = None, gap_ratio: float = 1e3,
     """
     d0, d1, d2 = dt.d0, dt.d1, dt.d2
     size0 = max(d0.shape)
-    scale = max(
-        float(np.linalg.norm(d0, 2)),
-        float(np.linalg.norm(d1, 2)),
-        float(np.linalg.norm(d2, 2)),
-        1e-300,
-    )
+    scale = dt.scale
     log: list[str] = list(dt.log)
     for step in range(max_steps):
         m, n = d0.shape
@@ -331,72 +322,75 @@ def rotate_system(p: MultiPoly, q: MultiPoly, seed: int = 0):
     return pw.scale(c) + qw.scale(s), pw.scale(-s) + qw.scale(c), (c, s)
 
 
-def _newton_polish(pw, qw, px, py, qx, qy, x, y, best, iters, notes):
-    for _ in range(max(0, iters)):
-        if not (math.isfinite(abs(x)) and math.isfinite(abs(y))):
-            break
-        f1 = pw.evaluate((x, y))
-        f2 = qw.evaluate((x, y))
-        j11, j12 = px.evaluate((x, y)), py.evaluate((x, y))
-        j21, j22 = qx.evaluate((x, y)), qy.evaluate((x, y))
-        det = j11 * j22 - j12 * j21
-        jscale = max(abs(j11), abs(j12), abs(j21), abs(j22), 1e-300)
-        # the comparison is phrased so that NaN and an underflowed
-        # threshold both take the bail-out branch
-        if not (abs(det) > 1e-12 * jscale * jscale > 0.0):
-            if notes is not None:
-                notes.append(f"root ({x:.3g},{y:.3g}): singular Jacobian, left unrefined")
-            break
-        nx = x - (f1 * j22 - f2 * j12) / det
-        ny = y - (f2 * j11 - f1 * j21) / det
-        cand = normalized_residual(pw, qw, nx, ny)
-        if cand <= best:
-            x, y, best = nx, ny, cand
-        else:
-            break
-    return x, y, best
+def _polish(p: DensePoly, q: DensePoly, xs, ys, best, iters: int):
+    """Newton on all points at once.
 
-
-def _reversed_poly(poly: MultiPoly) -> MultiPoly:
-    d = max(int(poly.degree()), 0)
-    return MultiPoly.make(2, {(d - a, d - b): c for (a, b), c in poly.terms.items()}, COMPLEX)
+    Per point, a step is kept only if the residual does not rise; a
+    rejected step, a non-finite point or a singular Jacobian stops that
+    point.  Returns the points, their residuals and a boolean mask of
+    the points stopped at a singular Jacobian.
+    """
+    xs = np.array(xs, dtype=complex)
+    ys = np.array(ys, dtype=complex)
+    best = np.array(best, dtype=float)
+    singular = np.zeros(len(xs), dtype=bool)
+    active = np.ones(len(xs), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(max(0, iters)):
+            active &= np.isfinite(np.abs(xs)) & np.isfinite(np.abs(ys))
+            idx = np.flatnonzero(active)
+            if not len(idx):
+                break
+            step_x, step_y, det, jscale = dense.jacobian_step(p, q, xs[idx], ys[idx])
+            # the comparison is phrased so that NaN and an underflowed
+            # threshold both stop the point
+            floor = 1e-12 * jscale * jscale
+            regular = (np.abs(det) > floor) & (floor > 0.0)
+            singular[idx[~regular]] = True
+            active[idx[~regular]] = False
+            idx, step_x, step_y = idx[regular], step_x[regular], step_y[regular]
+            nx, ny = xs[idx] - step_x, ys[idx] - step_y
+            cand = dense.residual(p, q, nx, ny)
+            keep = cand <= best[idx]
+            xs[idx[keep]], ys[idx[keep]], best[idx[keep]] = nx[keep], ny[keep], cand[keep]
+            active[idx[~keep]] = False
+    return xs, ys, best, singular
 
 
 def refine(roots: RootSet, p: MultiPoly, q: MultiPoly, iters: int = 5) -> RootSet:
-    """Newton polish on the 2x2 Jacobian; steps are accepted only if the
-    residual does not increase, and singular-Jacobian roots are kept
-    unrefined (flagged in the log).
+    """Newton polish on the 2x2 Jacobian, on all roots at once; steps are
+    accepted only if the residual does not increase, and singular-Jacobian
+    roots are kept unrefined (flagged in the log, in root order).
 
     Large roots are additionally polished in reciprocal coordinates
     (u, v) = (1/x, 1/y) on the degree-reversed polynomials, where the
     evaluation is well conditioned; whichever residual is smaller wins.
     """
-    pw = p if p.kind == COMPLEX else p.to_complex()
-    qw = q if q.kind == COMPLEX else q.to_complex()
-    px, py = pw.derivative(0), pw.derivative(1)
-    qx, qy = qw.derivative(0), qw.derivative(1)
-    pr = qr = None
+    pd, qd = DensePoly.from_poly(p), DensePoly.from_poly(q)
+    xs = np.array([complex(x) for x, _ in roots.roots], dtype=complex)
+    ys = np.array([complex(y) for _, y in roots.roots], dtype=complex)
+    xs, ys, best, singular = _polish(pd, qd, xs, ys, roots.residuals, iters)
     notes = list(roots.log)
-    new_roots = []
-    new_res = []
-    for (x, y), res in zip(roots.roots, roots.residuals):
-        x, y, best = _newton_polish(pw, qw, px, py, qx, qy, complex(x), complex(y), res, iters, notes)
-        if best > 1e-12 and 2.0 < abs(x) < 1e12 and 2.0 < abs(y) < 1e12:
-            if pr is None:
-                pr, qr = _reversed_poly(pw), _reversed_poly(qw)
-                prx, pry = pr.derivative(0), pr.derivative(1)
-                qrx, qry = qr.derivative(0), qr.derivative(1)
-            u, v = 1.0 / x, 1.0 / y
-            u, v, _ = _newton_polish(pr, qr, prx, pry, qrx, qry, u, v, normalized_residual(pr, qr, u, v), iters + 4, None)
-            if u != 0 and v != 0:
-                cand = normalized_residual(pw, qw, 1.0 / u, 1.0 / v)
-                if cand < best:
-                    x, y, best = 1.0 / u, 1.0 / v, cand
-        new_roots.append((x, y))
-        new_res.append(best)
+    notes += [
+        f"root ({complex(xs[i]):.3g},{complex(ys[i]):.3g}): singular Jacobian, left unrefined"
+        for i in np.flatnonzero(singular)
+    ]
+    with np.errstate(all="ignore"):
+        far = np.flatnonzero(
+            (best > 1e-12) & (np.abs(xs) > 2.0) & (np.abs(xs) < 1e12) & (np.abs(ys) > 2.0) & (np.abs(ys) < 1e12)
+        )
+    if len(far):
+        pr, qr = pd.reversed(), qd.reversed()
+        u, v = 1.0 / xs[far], 1.0 / ys[far]
+        u, v, _, _ = _polish(pr, qr, u, v, dense.residual(pr, qr, u, v), iters + 4)
+        back = (u != 0) & (v != 0)
+        far, u, v = far[back], u[back], v[back]
+        cand = dense.residual(pd, qd, 1.0 / u, 1.0 / v)
+        win = cand < best[far]
+        xs[far[win]], ys[far[win]], best[far[win]] = 1.0 / u[win], 1.0 / v[win], cand[win]
     return RootSet(
-        roots=tuple(new_roots),
-        residuals=tuple(new_res),
+        roots=tuple((complex(x), complex(y)) for x, y in zip(xs, ys)),
+        residuals=tuple(float(r) for r in best),
         multiplicities=roots.multiplicities,
         status=roots.status,
         reduced_size=roots.reduced_size,
@@ -474,38 +468,15 @@ def _rank_completed_roots(p: MultiPoly, q: MultiPoly, dt: DeltaTriple, expected:
     best-residual y, polished by Newton, and gated on the residual, so
     spurious candidates drop out instead of being counted.
     """
-    scale = max(
-        float(np.linalg.norm(dt.d0, 2)),
-        float(np.linalg.norm(dt.d1, 2)),
-        float(np.linalg.norm(dt.d2, 2)),
-        1e-300,
-    )
     rng = np.random.default_rng(seed)
-    xs = _completed_pencil_eigs(dt.d1.astype(complex), dt.d0.astype(complex), scale, rng)
-    ys = _completed_pencil_eigs(dt.d2.astype(complex), dt.d0.astype(complex), scale, rng)
+    xs = _completed_pencil_eigs(dt.d1.astype(complex), dt.d0.astype(complex), dt.scale, rng)
+    ys = _completed_pencil_eigs(dt.d2.astype(complex), dt.d0.astype(complex), dt.scale, rng)
     if len(xs) < expected or len(ys) < expected:
         raise NoRegularPart(f"rank completion found {len(xs)} x and {len(ys)} y candidates, expected >= {expected}")
-    res = np.maximum(_residual_grid(p, xs, ys), _residual_grid(q, xs, ys))
+    res = np.maximum(DensePoly.from_poly(p).residual_grid(xs, ys), DensePoly.from_poly(q).residual_grid(xs, ys))
     pairs = [(complex(xs[i]), complex(ys[j])) for i, j in enumerate(np.argmin(res, axis=1))]
     pairs += [(complex(xs[i]), complex(ys[j])) for j, i in enumerate(np.argmin(res, axis=0))]
     return pairs
-
-
-def _residual_grid(poly: MultiPoly, xs, ys) -> np.ndarray:
-    """Normalized residual |poly(x, y)| / sum |c| |x^a y^b| on the grid xs x ys."""
-    dx = max((e[0] for e in poly.terms), default=0)
-    dy = max((e[1] for e in poly.terms), default=0)
-    c = np.zeros((dx + 1, dy + 1), dtype=complex)
-    for (a, b), v in poly.terms.items():
-        c[a, b] = complex(v)
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    xp = xs[:, None] ** np.arange(dx + 1)[None, :]
-    yp = ys[:, None] ** np.arange(dy + 1)[None, :]
-    num = np.abs(xp @ c @ yp.T)
-    den = np.abs(xp) @ np.abs(c) @ np.abs(yp).T
-    den[den == 0.0] = 1.0
-    return num / den
 
 
 def solve(
@@ -546,6 +517,7 @@ def solve(
         norm = math.sqrt(sum(abs(c) ** 2 for c in w.terms.values()))
         return w.scale(1.0 / norm)
 
+    pd, qd = DensePoly.from_poly(p), DensePoly.from_poly(q)
     work = (_unit(p), _unit(q))
     attempts: list[RootSet] = []
     failure = None
@@ -584,10 +556,9 @@ def solve(
                         raise CommutationFailure(f"commutator defect {defect:.2e}")
                     xs, ys = solve_commuting(reduced, commute_tol=commute_tol, seed=seed + attempt)
                     pairs = [(complex(x), complex(y)) for x, y in zip(xs, ys)]
-                    residuals = [normalized_residual(p, q, x, y) for x, y in pairs]
                     rs = RootSet(
                         roots=tuple(pairs),
-                        residuals=tuple(residuals),
+                        residuals=tuple(dense.residual(pd, qd, xs, ys).tolist()),
                         multiplicities=_multiplicity_estimates(pairs),
                         status="ok" if len(pairs) == expected else "partial",
                         reduced_size=reduced.shape[0],
@@ -616,10 +587,10 @@ def solve(
         except (NoRegularPart, np.linalg.LinAlgError) as exc:
             failure = f"rank completion: {exc}"
             continue
-        residuals = [normalized_residual(p, q, x, y) for x, y in pairs]
+        pxs, pys = np.array(pairs).T
         rs = RootSet(
             roots=tuple(pairs),
-            residuals=tuple(residuals),
+            residuals=tuple(dense.residual(pd, qd, pxs, pys).tolist()),
             multiplicities=(1,) * len(pairs),
             status="ok",
             reduced_size=expected,

@@ -275,3 +275,15 @@ def test_rootset_json_schema_and_csv():
 def test_rank_log_present():
     rs = solve(CIRCLE, LINE)
     assert any("rank" in line for line in rs.log)
+
+
+def test_pencil_scale_computed_once_per_triple():
+    p, q = random_full_system(4, seed=10)
+    dt = build_deltas(to_two_param(p, q))
+    expected = max(float(np.linalg.norm(m, 2)) for m in (dt.d0, dt.d1, dt.d2))
+    assert dt.scale == expected
+    assert "scale" in dt.__dict__
+    # the rank ladder re-runs the staircase on one triple: same result each time
+    first, again = staircase(dt), staircase(dt)
+    assert first.log == again.log
+    assert np.array_equal(first.d0, again.d0)
