@@ -90,15 +90,18 @@ def residual(p: DensePoly, q: DensePoly, xs, ys) -> np.ndarray:
 
 
 def jacobian_step(p: DensePoly, q: DensePoly, xs, ys):
-    """Newton corrections (dx, dy) on the 2x2 Jacobian at each point, with det J and max |J_ij|.
+    """Newton corrections (dx, dy) on the 2x2 Jacobian at each point, with det J
+    and its row scale max(|p_x|, |p_y|) * max(|q_x|, |q_y|).
 
-    Where det J vanishes the corrections are inf or NaN; callers decide
-    from ``det`` and ``jscale`` which points to step.
+    The row scale bounds |det J| up to a factor 2 and scales with p and q
+    as det J does, so ``|det| / jscale`` is a scale-invariant singularity
+    measure.  Where det J vanishes the corrections are inf or NaN; callers
+    decide from ``det`` and ``jscale`` which points to step.
     """
     f1, p_x, p_y = p.values_and_gradient(xs, ys)
     f2, q_x, q_y = q.values_and_gradient(xs, ys)
     det = p_x * q_y - p_y * q_x
-    jscale = np.maximum.reduce([np.abs(p_x), np.abs(p_y), np.abs(q_x), np.abs(q_y), np.full(len(det), 1e-300)])
+    jscale = np.maximum(np.abs(p_x), np.abs(p_y)) * np.maximum(np.abs(q_x), np.abs(q_y))
     with np.errstate(divide="ignore", invalid="ignore"):
         step_x = (f1 * q_y - f2 * p_y) / det
         step_y = (f2 * p_x - f1 * q_x) / det

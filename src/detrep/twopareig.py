@@ -17,8 +17,10 @@ close to call.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -344,7 +346,7 @@ def _polish(p: DensePoly, q: DensePoly, xs, ys, best, iters: int):
             step_x, step_y, det, jscale = dense.jacobian_step(p, q, xs[idx], ys[idx])
             # the comparison is phrased so that NaN and an underflowed
             # threshold both stop the point
-            floor = 1e-12 * jscale * jscale
+            floor = 1e-12 * jscale
             regular = (np.abs(det) > floor) & (floor > 0.0)
             singular[idx[~regular]] = True
             active[idx[~regular]] = False
@@ -400,36 +402,96 @@ def refine(roots: RootSet, p: MultiPoly, q: MultiPoly, iters: int = 5) -> RootSe
     )
 
 
+def _closeness(xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
+    """close[i, j]: |x_i - x_j| + |y_i - y_j| < tol * (1 + |x_j| + |y_j|)."""
+    dist = np.abs(xs[:, None] - xs[None, :])
+    dist += np.abs(ys[:, None] - ys[None, :])
+    return dist < tol * (1.0 + np.abs(xs) + np.abs(ys))[None, :]
+
+
 def _dedup_roots(pairs, tol: float = 1e-7):
-    """Keep one representative per root cluster (best residual first)."""
-    out = []
-    for (x, y), res in sorted(pairs, key=lambda t: t[1]):
-        dup = any(abs(x - ox) + abs(y - oy) < tol * (1.0 + abs(ox) + abs(oy)) for (ox, oy), _ in out)
-        if not dup:
-            out.append(((x, y), res))
-    return out
+    """Keep one representative per root cluster (best residual first).
+
+    Greedy in order of residual: a point is dropped when it lies within
+    ``tol`` (relative to the kept point) of a point already kept.
+    """
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i][1])
+    if not order:
+        return []
+    pts = np.array([pairs[i][0] for i in order], dtype=complex)
+    close = _closeness(pts[:, 0], pts[:, 1], tol)
+    alive = np.ones(len(order), dtype=bool)
+    kept = []
+    for i in range(len(order)):
+        if alive[i]:
+            kept.append(pairs[order[i]])
+            alive &= ~close[:, i]
+    return kept
 
 
 def _multiplicity_estimates(points, tol: float = 1e-6):
-    mult = []
-    for x, y in points:
-        count = 0
-        for ox, oy in points:
-            if abs(x - ox) + abs(y - oy) < tol * (1.0 + abs(ox) + abs(oy)):
-                count += 1
-        mult.append(count)
-    return tuple(mult)
+    """Per point, how many points (itself included) lie within ``tol`` of it."""
+    if not len(points):
+        return ()
+    pts = np.array(points, dtype=complex)
+    return tuple(int(c) for c in _closeness(pts[:, 0], pts[:, 1], tol).sum(axis=1))
 
 
 # -- rank-completing fallback for deep staircase failures ----------------------
+
+#: shifts tried before the shift-and-invert step gives up
+SHIFT_DRAWS = 4
+#: smallest accepted reciprocal condition number (1-norm) of the shifted pencil
+SHIFT_RCOND = 1e-8
+#: scale of the random redrawn shifts.  The shifted Delta pencils are
+#: conditioned alike for every phase of sigma but lose conditioning fast
+#: with |sigma| beyond 1: measured on the perturbed x pencils of degree-12
+#: to 15 systems, rcond is about 1e-7 for |sigma| <= 1, 1e-9 at 1.3 and
+#: 1e-13 at 2.2
+SHIFT_SCALE = 0.25
+
+
+def _conditioned_shift(a: np.ndarray, b: np.ndarray, shifts):
+    """The first sigma of ``shifts`` with a well-conditioned a - sigma b, and its LU.
+
+    A shift on or near an eigenvalue of the pencil, or a large one for
+    the Delta pencils (see ``SHIFT_SCALE``), makes a - sigma b nearly
+    singular, and the inverted matrix built on it loses accuracy.  The reciprocal condition number is estimated
+    by LAPACK gecon from the LU, at O(n^2) cost; a shift below
+    ``SHIFT_RCOND`` is never used.  Raises :class:`NoRegularPart` when no
+    shift qualifies.
+    """
+    for sigma in shifts:
+        s = a - sigma * b
+        anorm = np.linalg.norm(s, 1)
+        with warnings.catch_warnings():
+            # an exactly singular shift is caught by the condition estimate
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(s, overwrite_a=True, check_finite=False)
+        (gecon,) = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))
+        rcond, info = gecon(lu, anorm, norm="1")
+        # phrased so that a NaN estimate is rejected
+        if info == 0 and rcond >= SHIFT_RCOND:
+            return sigma, (lu, piv)
+    raise NoRegularPart(f"no shift left the pencil conditioned (rcond >= {SHIFT_RCOND:.0e})")
 
 
 def _completed_pencil_eigs(da: np.ndarray, d0: np.ndarray, scale: float, rng) -> np.ndarray:
     """Finite regular eigenvalues of the singular pencil (da - lambda d0).
 
-    The pencil is regularized by a random rank-completing perturbation;
-    eigenvalues belonging to the original pencil are recognized by their
-    left/right eigenvectors being orthogonal to the perturbation ranges.
+    The pencil is regularized by a random rank-completing perturbation of
+    rank k = size - (normal rank); eigenvalues belonging to the original
+    pencil are recognized by their left/right eigenvectors being
+    orthogonal to the perturbation ranges.  k = 0 (a regular pencil)
+    takes the same path with an empty perturbation.
+
+    The perturbed pencil (A, B) is solved by shift and invert instead of
+    the QZ algorithm: for a random shift sigma with S = A - sigma B well
+    conditioned (see :func:`_conditioned_shift`), the standard
+    eigenproblem of M = S^-1 B has the eigenvalues mu = 1/(lambda - sigma),
+    the pencil's right eigenvectors, and left eigenvectors w for which
+    S^-H w are the pencil's.  Infinite eigenvalues of the pencil show up as
+    mu at rounding level, |mu| <= n eps ||M||_F, and are dropped.
     """
     size = da.shape[0]
     rho = 0
@@ -438,8 +500,6 @@ def _completed_pencil_eigs(da: np.ndarray, d0: np.ndarray, scale: float, rng) ->
         svals = np.linalg.svd(da - lam * d0, compute_uv=False)
         rho = max(rho, int(np.sum(svals > np.finfo(float).eps * size * scale)))
     k = size - rho
-    if k == 0:
-        return scipy.linalg.eigvals(da, d0)
     u = np.linalg.qr(rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k)))[0]
     v = np.linalg.qr(rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k)))[0]
     tau = 0.1 * scale
@@ -447,16 +507,26 @@ def _completed_pencil_eigs(da: np.ndarray, d0: np.ndarray, scale: float, rng) ->
     amp2 = rng.uniform(0.5, 1.5, k) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
     da_p = da + tau * (u * amp) @ v.conj().T
     d0_p = d0 + tau * (u * amp2) @ v.conj().T
-    lam, vl, vr = scipy.linalg.eig(da_p, d0_p, left=True, right=True)
-    keep = []
-    for i in range(size):
-        if not np.isfinite(lam[i]):
-            continue
-        s_right = np.linalg.norm(v.conj().T @ vr[:, i]) / np.linalg.norm(vr[:, i])
-        s_left = np.linalg.norm(u.conj().T @ vl[:, i]) / np.linalg.norm(vl[:, i])
-        if max(s_right, s_left) < 1e-6:
-            keep.append(lam[i])
-    return np.array(keep)
+    # the last rank probe is tried first, at no extra draw; redraws stay
+    # small (SHIFT_SCALE)
+    shifts = itertools.chain(
+        [lam],
+        (SHIFT_SCALE * complex(rng.standard_normal(), rng.standard_normal()) for _ in range(SHIFT_DRAWS - 1)),
+    )
+    sigma, lu = _conditioned_shift(da_p, d0_p, shifts)
+    # each n x n input is released as soon as it is used, so that at most
+    # two of them are alive next to the eig workspace
+    del da_p
+    m = scipy.linalg.lu_solve(lu, d0_p, overwrite_b=True, check_finite=False)
+    del d0_p
+    mu_floor = size * np.finfo(float).eps * np.linalg.norm(m)
+    mu, wl, vr = scipy.linalg.eig(m, left=True, right=True, overwrite_a=True, check_finite=False)
+    del m
+    vl = scipy.linalg.lu_solve(lu, wl, trans=2, overwrite_b=True, check_finite=False)
+    s_right = np.linalg.norm(v.conj().T @ vr, axis=0) / np.linalg.norm(vr, axis=0)
+    s_left = np.linalg.norm(u.conj().T @ vl, axis=0) / np.linalg.norm(vl, axis=0)
+    keep = (np.abs(mu) > mu_floor) & (np.maximum(s_right, s_left) < 1e-6)
+    return sigma + 1.0 / mu[keep]
 
 
 def _rank_completed_roots(p: MultiPoly, q: MultiPoly, dt: DeltaTriple, expected: int, seed: int):

@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from detrep.poly import COMPLEX, MultiPoly
 from detrep.roots import RootSet, normalized_residual, rootset_from_json, rootset_to_csv, rootset_to_json
 from detrep.twopareig import (
+    NoRegularPart,
+    _completed_pencil_eigs,
+    _conditioned_shift,
+    _dedup_roots,
+    _multiplicity_estimates,
     build_deltas,
     commutator_defect,
     refine,
@@ -244,6 +250,115 @@ def test_refine_singular_jacobian_flagged():
     out = refine(start, p, q, iters=5)
     assert out.roots == ((0j, 0j),)
     assert any("singular Jacobian" in line for line in out.log)
+
+
+def test_refine_large_regular_root_not_singular():
+    # p = x^2 (x+3)^2 (x-1)(x-R), q = y - x: the regular root (R, R) has
+    # |det J| ~ 1e-12 max|J_ij|^2 at R = 1e5, so an unscaled singularity
+    # test stops it; the row-scaled test polishes it
+    big = 1e5
+    x = _poly({(1, 0): 1})
+    p = x * x * (x + _poly({(0, 0): 3})) ** 2 * (x - _poly({(0, 0): 1})) * (x - _poly({(0, 0): big}))
+    q = _poly({(0, 1): 1, (1, 0): -1})
+    start = complex(1.001 * big)
+    rs = RootSet(roots=((start, start),), residuals=(normalized_residual(p, q, start, start),), multiplicities=(1,))
+    assert rs.residuals[0] > 1e-4
+    out = refine(rs, p, q, iters=1)
+    assert out.log == ()
+    assert out.residuals[0] < 1e-15
+    assert abs(out.roots[0][0] - big) < 1e-9 * big
+
+
+def _dedup_reference(pairs, tol=1e-7):
+    out = []
+    for (x, y), res in sorted(pairs, key=lambda t: t[1]):
+        dup = any(abs(x - ox) + abs(y - oy) < tol * (1.0 + abs(ox) + abs(oy)) for (ox, oy), _ in out)
+        if not dup:
+            out.append(((x, y), res))
+    return out
+
+
+def _multiplicity_reference(points, tol=1e-6):
+    return tuple(
+        sum(abs(x - ox) + abs(y - oy) < tol * (1.0 + abs(ox) + abs(oy)) for ox, oy in points) for x, y in points
+    )
+
+
+def test_dedup_and_multiplicity_match_loop_reference():
+    # clusters at several scales, a chain whose ends are far apart but
+    # whose links are close (the greedy order decides), points just inside
+    # and just outside the relative tolerance, and residual ties
+    rng = np.random.default_rng(4)
+    centres = [0.3 - 0.2j, 5.0 + 1.0j, 1e4 + 0j, -2e-3j]
+    pairs = []
+    for c in centres:
+        for spread in (0.0, 1e-9, 3e-8, 2e-7, 5e-6):
+            dx, dy = spread * np.exp(2j * np.pi * rng.uniform(size=2))
+            pairs.append(((complex(c + dx), complex(c / 2 + dy)), float(rng.choice([1e-16, 1e-12, 1e-9]))))
+    pairs += [((complex(1.0 + 0.6e-7 * i), 2.0 + 0j), 1e-14 * (i % 2)) for i in range(6)]
+    for tol in (1e-7, 1e-6):
+        assert _dedup_roots(pairs, tol) == _dedup_reference(pairs, tol)
+        points = [xy for xy, _ in pairs]
+        assert _multiplicity_estimates(points, tol) == _multiplicity_reference(points, tol)
+    kept = _dedup_roots(pairs)
+    assert 4 < len(kept) < len(pairs)
+    assert _dedup_roots([]) == [] and _multiplicity_estimates([]) == ()
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+@pytest.mark.parametrize("singular", [True, False])
+def test_completed_pencil_eigs_keeps_only_finite_regular_part(singular):
+    # P blockdiag(regular, infinite, Kronecker) Q: the regular block has
+    # known finite eigenvalues; the infinite block I - lambda N has a
+    # semisimple nilpotent N = 0; L_2 and L_1^T make the pencil singular
+    # with normal rank one less than its size.  Without the Kronecker
+    # blocks the pencil is regular and the perturbation is empty.
+    rng = np.random.default_rng(7)
+    finite = np.array([0.5, -1.2 + 0.3j, 2j, 1.7])
+    blocks_a = [np.diag(finite) + np.triu(rng.standard_normal((4, 4)), 1), np.eye(2)]
+    blocks_0 = [np.eye(4), np.zeros((2, 2))]
+    if singular:
+        blocks_a += [np.hstack([np.zeros((2, 1)), np.eye(2)]), np.array([[0.0], [1.0]])]
+        blocks_0 += [np.hstack([np.eye(2), np.zeros((2, 1))]), np.array([[1.0], [0.0]])]
+    da, d0 = scipy.linalg.block_diag(*blocks_a), scipy.linalg.block_diag(*blocks_0)
+    n = da.shape[0]
+    left, right = _unitary(rng, n), _unitary(rng, n)
+    da, d0 = left @ da @ right, left @ d0 @ right
+    scale = max(np.linalg.norm(da, 2), np.linalg.norm(d0, 2))
+    got = _completed_pencil_eigs(da, d0, scale, np.random.default_rng(3))
+    assert len(got) == len(finite)
+    assert pairing_distance([(z, 0) for z in got], [(z, 0) for z in finite]) < 1e-10
+
+
+def test_conditioned_shift_skips_eigenvalue():
+    rng = np.random.default_rng(2)
+    left, right = _unitary(rng, 5), _unitary(rng, 5)
+    a = left @ np.diag([1.0, 2.0, -0.5j, 3 + 1j, 0.25]) @ right
+    b = left @ right
+    shifts = iter([2.0, 2.0 + 1e-12, 0.7 + 0.4j, 9.0])
+    sigma, (lu, piv) = _conditioned_shift(a, b, shifts)
+    assert sigma == 0.7 + 0.4j
+    assert list(shifts) == [9.0]  # drawn lazily: nothing after the accepted shift
+    m = scipy.linalg.lu_solve((lu, piv), b)
+    assert np.allclose(m, np.linalg.solve(a - sigma * b, b))
+    with pytest.raises(NoRegularPart):
+        _conditioned_shift(a, b, [1.0, 0.25, -0.5j])
+
+
+def test_fallback_matches_oracle_degree_13():
+    # leaves the staircase for the rank-completing fallback and recovers
+    # every root there
+    from detrep.oracle import oracle_roots
+
+    p, q = random_full_system(13, seed=5001, real=True)
+    rs = solve(p, q, seed=0)
+    assert any("rank-completing perturbation fallback" in line for line in rs.log)
+    assert rs.status == "ok" and len(rs) == 169
+    assert rs.max_residual() < 1e-8
+    assert pairing_distance(rs.roots, oracle_roots(p, q).roots) < 1e-8
 
 
 def test_solve_rejects_zero_and_cap():
